@@ -25,8 +25,10 @@ smoke check for the GD path::
     PYTHONPATH=src python benchmarks/bench_gd_throughput.py --quick
 
 which verifies the implementations produce bit-identical losses from the same
-start points on a ResNet-style workload and fails (non-zero exit) if the
-batched + tape loop is less than 3x the per-layer steps/second, or if a
+start points on a ResNet-style workload, that replaying the multi-start tape
+is bitwise equal to re-tracing it (losses and every gradient, over
+``PARITY_STEPS`` Adam steps), and fails (non-zero exit) if either check fails,
+if the batched + tape loop is less than 3x the per-layer steps/second, or if a
 seeded 7-start multi-start descent is less than 2x faster (wall-clock) than
 descending the same 7 start points sequentially.  ``--record PATH`` saves the
 multi-start measurements as a JSON baseline
@@ -38,6 +40,8 @@ import argparse
 import json
 import sys
 import time
+
+import numpy as np
 
 from repro.arch import HardwareConfig
 from repro.autodiff import Adam, Tape, ops
@@ -59,6 +63,7 @@ LEARNING_RATE = 0.05
 SPEEDUP_BAR = 3.0
 MULTISTART_SPEEDUP_BAR = 2.0
 MULTISTART_POINTS = 7
+PARITY_STEPS = 20
 
 
 def _start_mappings(workload: str):
@@ -145,6 +150,43 @@ def make_multistart_stepper(mapping_sets, repeats, use_tape: bool = True):
             build_loss().backward()
         optimizer.step()
         return traced["per_start"].data.copy()
+
+    return step
+
+
+def make_multistart_parity_check(mapping_sets, repeats):
+    """Descend two copies of one multi-start model: tape replay vs re-tracing.
+
+    ``step()`` runs one Adam step on each copy — one replaying a compiled
+    tape, one re-tracing the loss and calling ``Tensor.backward()`` — and
+    returns whether the losses and every parameter gradient are bitwise equal.
+    """
+    copies = [MultiStartFactors.from_mapping_sets(mapping_sets) for _ in range(2)]
+    optimizers = [Adam(f.parameters(), lr=LEARNING_RATE, fused=True) for f in copies]
+
+    def build_loss(factors):
+        grid = factors.factor_grid()
+        hardware = DifferentiableModel.derive_hardware(factors, grid=grid)
+        performances = DifferentiableModel.evaluate_network(factors, hardware,
+                                                            grid=grid)
+        return ops.fold_sum(network_edp_loss(performances, repeats)
+                            + PENALTY_WEIGHT * validity_penalty(factors, grid=grid))
+
+    tape = Tape(lambda: build_loss(copies[0]))
+
+    def step() -> bool:
+        for optimizer in optimizers:
+            optimizer.zero_grad()
+        replayed = tape.forward()
+        tape.backward()
+        retraced = build_loss(copies[1])
+        retraced.backward()
+        equal = replayed.data.tobytes() == retraced.data.tobytes() and all(
+            a.grad.tobytes() == b.grad.tobytes()
+            for a, b in zip(copies[0].parameters(), copies[1].parameters()))
+        for optimizer in optimizers:
+            optimizer.step()
+        return equal
 
     return step
 
@@ -245,6 +287,18 @@ def run_quick_multistart(workload: str = "resnet50", steps: int = 25,
     mapping_sets, repeats = _seeded_start_mapping_sets(workload)
     starts = len(mapping_sets)
     layer_count = len(mapping_sets[0])
+
+    # Correctness smoke: replaying the compiled tape is bitwise equal to
+    # re-tracing the loss and calling Tensor.backward(), step after step.
+    parity_step = make_multistart_parity_check(mapping_sets, repeats)
+    with np.errstate(over="ignore"):
+        diverged = [step for step in range(PARITY_STEPS) if not parity_step()]
+    if diverged:
+        print(f"FAIL: tape replay diverges from re-traced backward at Adam "
+              f"steps {diverged}")
+        return 1
+    print(f"{workload}: tape replay bitwise equal to re-traced backward over "
+          f"{PARITY_STEPS} Adam steps of the {starts}-start graph")
 
     # Correctness smoke: each start's first multi-start loss is bit-identical
     # to the first loss of its own single-start batched + tape stepper.

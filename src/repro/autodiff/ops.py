@@ -5,8 +5,9 @@ tiling factors, smooth maxima for the roofline latency, the softmax used for
 gradient-based loop-ordering (paper Section 5.2.2), and the hinge penalty used
 to keep tiling factors valid (Equation 18).
 
-Every op records a forward-recompute closure (see
-:mod:`repro.autodiff.tensor`), so graphs built from these functions can be
+Every op records how to recompute and differentiate itself — ``relu`` as an
+opcode the engine runs inline, the rest as forward/backward closures (see
+:mod:`repro.autodiff.tensor`) — so graphs built from these functions can be
 replayed by :class:`repro.autodiff.tape.Tape` without re-tracing.  The two
 fused reductions at the bottom — :func:`fold_max` and :func:`reload_product` —
 replace long chains of scalar nodes in the layer-batched DOSA model with a
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor
+from repro.autodiff.tensor import RELU, Tensor
 
 TensorLike = "Tensor | float | int | np.ndarray"
 
@@ -46,14 +47,7 @@ def sqrt(x: TensorLike) -> Tensor:
 
 def relu(x: TensorLike) -> Tensor:
     x = _as_tensor(x)
-
-    def forward():
-        return np.maximum(x.data, 0.0)
-
-    def backward(grad: np.ndarray):
-        return ((x, grad * (x.data > 0)),)
-
-    return x._make_child(forward(), (x,), backward, forward)
+    return x._make_op(RELU, np.maximum(x.data, 0.0), (x,))
 
 
 def sigmoid(x: TensorLike) -> Tensor:
@@ -259,16 +253,27 @@ def softmax(x: TensorLike, axis: int = -1) -> Tensor:
 
 
 def log_sum_exp(x: TensorLike, axis: int = -1) -> Tensor:
-    """Numerically stable log-sum-exp reduction along ``axis``.
+    """Numerically stable log-sum-exp reduction along ``axis`` (kept dims).
 
-    Not tape-replayable: the stabilizing shift is captured as a constant at
-    trace time (the default DOSA model uses the exact max instead).
+    One node whose forward recomputes the stabilizing shift (the max along
+    ``axis``) from the current ``x.data``, so a tape replay stays finite and
+    equal to a re-trace wherever the values move.
     """
     x = _as_tensor(x)
-    max_data = x.data.max(axis=axis, keepdims=True)
-    shifted = x - Tensor(max_data)
-    summed = shifted.exp().sum(axis=axis, keepdims=True)
-    return summed.log() + Tensor(max_data.reshape(summed.data.shape))
+    # The shifted exponentials and their sum from the latest forward pass.
+    exps = summed = None
+
+    def forward():
+        nonlocal exps, summed
+        max_data = x.data.max(axis=axis, keepdims=True)
+        exps = np.exp(x.data - max_data)
+        summed = exps.sum(axis=axis, keepdims=True)
+        return np.log(summed) + max_data.reshape(summed.shape)
+
+    def backward(grad: np.ndarray):
+        return ((x, np.broadcast_to(grad / summed, exps.shape) * exps),)
+
+    return x._make_child(forward(), (x,), backward, forward)
 
 
 def smooth_max(values: Sequence[TensorLike], sharpness: float = 32.0) -> Tensor:
@@ -377,28 +382,30 @@ def reload_product(walk: Tensor, relevant: np.ndarray, eps: float = 1e-9) -> Ten
     :func:`repro.timeloop.loopnest.reload_factor` and its differentiable
     counterpart.  Excluded positions contribute a factor of exactly 1.0 and
     receive zero gradient, matching the per-layer graph that simply omits
-    them.  The inclusion masks are re-derived from ``walk.data`` on every
-    forward/backward pass, so the op stays correct under tape replay while
-    the graph wiring remains static.
+    them.  The inclusion mask is re-derived from ``walk.data`` on every
+    forward pass (and reused by the backward pass that follows it), so the
+    op stays correct under tape replay while the graph wiring remains
+    static.
     """
     relevant = np.asarray(relevant, dtype=bool)
     if walk.data.shape != relevant.shape:
         raise ValueError(
             f"walk/relevant shape mismatch: {walk.data.shape} vs {relevant.shape}")
 
-    def include_mask() -> np.ndarray:
+    # The inclusion mask and gated walk of the latest forward pass; backward
+    # reuses them instead of deriving them a second time.
+    include = gated = None
+
+    def forward():
+        nonlocal include, gated
         active = walk.data > 1.0 + eps
         relevant_active = active & relevant
         seen_before = (np.cumsum(relevant_active, axis=-1) - relevant_active) > 0
-        return active & (relevant | seen_before)
-
-    def forward():
-        gated = np.where(include_mask(), walk.data, 1.0)
+        include = active & (relevant | seen_before)
+        gated = np.where(include, walk.data, 1.0)
         return np.multiply.reduce(gated, axis=-1)
 
     def backward(grad: np.ndarray):
-        include = include_mask()
-        gated = np.where(include, walk.data, 1.0)
         prefix = np.ones_like(gated)
         suffix = np.ones_like(gated)
         if gated.shape[-1] > 1:

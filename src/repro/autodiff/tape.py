@@ -2,25 +2,25 @@
 
 Re-tracing the DOSA loss every gradient step rebuilds the same Python graph —
 the same ops, the same wiring — hundreds of times with fresh ``Tensor``
-allocations, closure objects and a fresh topological sort.  Between rounding
-points the graph *structure* is static (loop orderings only change when a
-mapping is re-snapped), so all of that work can be paid once: :class:`Tape`
-traces the loss closure a single time, caches the topological order and the
-per-node forward/backward closures, and thereafter **replays** the graph —
-forward by re-executing each node's recompute closure against the parents'
-current ``.data``, backward by running the standard reverse accumulation over
-the cached order.
+allocations and a fresh topological sort.  Between rounding points the graph
+*structure* is static (loop orderings only change when a mapping is
+re-snapped), so all of that work can be paid once: :class:`Tape` traces the
+loss closure a single time, lowers it into a slot-indexed
+:class:`~repro.autodiff.tensor.Program`, and thereafter **replays** that
+program — forward by recomputing every node from its parents' current
+``.data``, backward by the same reverse accumulation
+:meth:`~repro.autodiff.tensor.Tensor.backward` runs.
 
-Replay is exact, not approximate: recompute closures read parent data at call
-time and value-dependent masks (``ops.relu``, ``ops.maximum`` subgradients,
-``ops.reload_product`` inclusion masks) are re-derived on every pass, so a
-replayed forward/backward is bit-identical to re-tracing the same closure —
-the regression tests assert ``==``, not a tolerance.  What must stay fixed is
-the *wiring*: the traced closure may not branch on parameter values or bake
-them into constants (e.g. :func:`repro.autodiff.ops.log_sum_exp` captures its
-stabilizing shift and is not replayable).  When the structure does change —
-DOSA re-selects loop orderings at a rounding point — call :meth:`invalidate`
-and the next :meth:`forward` re-traces.
+Replay is exact, not approximate: every node is recomputed from its parents'
+data at call time, and value-dependent masks (``ops.relu``, ``ops.maximum``
+subgradients, ``ops.reload_product`` inclusion masks, the
+``ops.log_sum_exp`` shift) are re-derived on every pass, so a replayed
+forward/backward is bit-identical to re-tracing the same closure — the
+regression tests assert ``==``, not a tolerance.  What must stay fixed is the
+*wiring*: the traced closure may not branch on parameter values or bake them
+into constants.  When the structure does change — DOSA re-selects loop
+orderings at a rounding point — call :meth:`Tape.invalidate` and the next
+:meth:`Tape.forward` re-traces.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor, backpropagate, topological_order
+from repro.autodiff.tensor import CLOSURE, Program, Tensor
 
 
 class TapeError(RuntimeError):
@@ -50,7 +50,7 @@ class Tape:
             tape.backward()           # == loss.backward() on a fresh trace
             optimizer.step()
 
-    The tape holds the traced output tensor and the cached topological order;
+    The tape holds the traced output tensor and its lowered program;
     parameters keep their identity across steps, so optimizer state attached
     to them stays valid.
     """
@@ -58,8 +58,7 @@ class Tape:
     def __init__(self, build: Callable[[], Tensor]) -> None:
         self._build = build
         self._output: Tensor | None = None
-        self._order: list[Tensor] = []
-        self._replay_nodes: list[Tensor] = []
+        self._program: Program | None = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -70,33 +69,32 @@ class Tape:
     @property
     def num_nodes(self) -> int:
         """Number of graph nodes in the cached topological order."""
-        return len(self._order)
+        return len(self._program.nodes) if self._program is not None else 0
 
     def invalidate(self) -> None:
         """Drop the cached graph; the next :meth:`forward` re-traces.
 
         Call this whenever the graph *structure* may have changed — for DOSA,
         after a rounding point re-selects loop orderings (the walk-order
-        gather indices are baked into the wiring).
+        gather indices are baked into the wiring).  The lowered program is
+        dropped with the graph, so two graphs are never alive at once.
         """
         self._output = None
-        self._order = []
-        self._replay_nodes = []
+        self._program = None
 
     # ------------------------------------------------------------------ #
     def forward(self) -> Tensor:
         """Return the loss tensor: trace on first use, replay afterwards."""
         if self._output is None:
             return self._trace()
-        for node in self._replay_nodes:
-            node.data = node._recompute()
+        self._program.forward()
         return self._output
 
     def backward(self) -> None:
-        """Reverse accumulation over the cached order (grads into leaves)."""
+        """Reverse accumulation over the lowered program (grads into leaves)."""
         if self._output is None:
             raise TapeError("backward() before forward(): nothing is recorded")
-        backpropagate(self._output, self._order, np.ones_like(self._output.data))
+        self._program.backward(np.ones_like(self._output.data))
 
     # ------------------------------------------------------------------ #
     def _trace(self) -> Tensor:
@@ -108,17 +106,13 @@ class Tape:
                             "(no differentiable parameters reached the output)")
         if output.data.size != 1:
             raise TapeError(f"traced loss must be a scalar, got shape {output.shape}")
-        order = topological_order(output)
-        replay_nodes = []
-        for node in order:
-            if node._parents and node._recompute is None:
+        program = Program(output)
+        for node in program.nodes:
+            if node._parents and node._op == CLOSURE and node._recompute is None:
                 raise TapeError(
                     "traced graph contains an op without a forward-recompute "
                     "closure and cannot be replayed"
                     + (f" (node {node.name!r})" if node.name else ""))
-            if node._recompute is not None:
-                replay_nodes.append(node)
         self._output = output
-        self._order = order
-        self._replay_nodes = replay_nodes
+        self._program = program
         return output

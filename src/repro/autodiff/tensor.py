@@ -1,21 +1,27 @@
-"""The :class:`Tensor` type: a NumPy array with reverse-mode autodiff.
+"""The :class:`Tensor` type and the slot-indexed engine that differentiates it.
 
 Every differentiable quantity in the DOSA model — tiling factors, capacities,
 access counts, latencies, energies, and the final EDP loss — is represented as
-a ``Tensor``.  Calling :meth:`Tensor.backward` on a scalar loss walks the
-recorded computation graph in reverse topological order and accumulates
-gradients into every leaf tensor created with ``requires_grad=True``.
+a ``Tensor``.  Each op result records its parents and how to recompute and
+differentiate itself.  The six elementwise/indexing ops that make up nearly
+all of the DOSA loss graph — ``*``, ``+``, ``-``, ``/``, ``relu`` and
+indexing — record only an opcode (plus, for indexing, a precomputed scatter
+plan); every other op records a forward-recompute closure and a backward
+closure returning one ``(parent, contribution)`` pair per parent, in
+``_parents`` order.  Closures read ``.data`` at call time, never capturing
+arrays at trace time, so a graph stays valid when its leaves change.
 
-The implementation intentionally mirrors the small, explicit style of
-micro-autograd engines: each operation stores its parents, a closure that
-propagates the incoming gradient, and a closure that recomputes its forward
-value from the parents' *current* ``.data``.  The recompute closures are what
-make :class:`repro.autodiff.tape.Tape` possible: a captured graph can be
-replayed forward and backward with fresh parameter values instead of being
-re-traced from Python every optimizer step.  To keep replay faithful, backward
-closures read ``.data`` at call time rather than capturing arrays at trace
-time.  Broadcasting is supported; gradients are summed back to the parent's
-shape before accumulation.
+:class:`Program` is the one engine that runs a recorded graph.  It lowers the
+topological order into flat instruction lists over slots — slot ``i`` is the
+``i``-th node of the order — holding each node's parent slots, whether each
+parent needs a gradient, and the shape a broadcast edge's contribution sums
+back to.  Its backward pass accumulates gradients in a list indexed by slot;
+its forward pass recomputes every node from its parents' current ``.data``.
+:meth:`Tensor.backward` lowers and runs a program once;
+:class:`repro.autodiff.tape.Tape` keeps one per trace and replays it every
+optimizer step.  Both perform the same arithmetic, and the same
+accumulations into each slot in the same order, so a replay is bit-identical
+to a re-trace.
 """
 
 from __future__ import annotations
@@ -61,12 +67,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+#: Opcodes of the ops :class:`Program` runs inline.  ``CLOSURE`` marks every
+#: other op (and leaves, which have no parents): it runs through the node's
+#: own ``_recompute`` / ``_backward`` closures.
+CLOSURE, MUL, ADD, SUB, DIV, RELU, GETITEM = range(7)
+_LEAF = -1  # lowering only: leaves accumulate into ``.grad``
+
+
 def topological_order(root: "Tensor") -> list["Tensor"]:
     """Ancestors of ``root`` that require grad, parents before children.
 
-    This is the traversal order used by :meth:`Tensor.backward`; it is exposed
-    so :class:`repro.autodiff.tape.Tape` can cache it once and replay the same
-    schedule every step.
+    ``root`` comes last; :class:`Program` numbers its slots in this order.
     """
     order: list[Tensor] = []
     visited: set[int] = set()
@@ -86,40 +97,174 @@ def topological_order(root: "Tensor") -> list["Tensor"]:
     return order
 
 
-def backpropagate(root: "Tensor", topo_order: list["Tensor"], grad: np.ndarray) -> None:
-    """Run reverse-mode accumulation along a precomputed topological order.
+def _getitem_plan(index, shape: tuple[int, ...]) -> tuple:
+    """How ``GETITEM`` scatters a gradient back: ``(index, target, unique)``.
 
-    Shared by :meth:`Tensor.backward` (which computes the order on the fly)
-    and :class:`repro.autodiff.tape.Tape` (which caches it), so a tape replay
-    performs bit-for-bit the same accumulation as a fresh re-trace.
+    A basic index (ints, slices, ``None``, ``...``) selects each element at
+    most once; its ``target`` is the same index with a trailing ``...``, so
+    that it selects a writable view even when it picks a single element.
+    Any other index gets as ``target`` the flat positions of the elements it
+    gathers, read off an ``arange`` of the source; ``unique`` tells whether
+    any position repeats.
     """
-    grads: dict[int, np.ndarray] = {id(root): grad}
-    for node in reversed(topo_order):
-        node_grad = grads.pop(id(node), None)
-        if node_grad is None:
-            continue
-        if node._backward is not None:
-            for parent, contribution in node._backward(node_grad):
-                if not parent.requires_grad or contribution is None:
-                    continue
-                contribution = _unbroadcast(
-                    np.asarray(contribution, dtype=np.float64), parent.data.shape
-                )
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + contribution
+    parts = index if isinstance(index, tuple) else (index,)
+    if all(part is None or part is Ellipsis or isinstance(part, (int, np.integer, slice))
+           for part in parts):
+        return index, parts if Ellipsis in parts else parts + (Ellipsis,), True
+    flat = np.arange(int(np.prod(shape)), dtype=np.intp).reshape(shape)[index]
+    return index, flat, np.unique(flat).size == flat.size
+
+
+def _scatter(grad: np.ndarray, shape: tuple[int, ...], plan: tuple) -> np.ndarray:
+    """The gradient of a gather: ``grad`` placed into zeros of ``shape``.
+
+    Each entry is ``0.0 + grad``, exactly as ``np.add.at`` onto zeros gives
+    (which turns ``-0.0`` into ``+0.0``); only repeated positions, whose
+    contributions must add up in order, still go through ``np.add.at``.
+    """
+    index, target, unique = plan
+    full = np.zeros(shape, dtype=np.float64)
+    if not unique:
+        np.add.at(full, index, grad)
+    elif isinstance(target, np.ndarray):
+        full.reshape(-1)[target] = grad + 0.0
+    else:
+        view = full[target]
+        view += grad
+    return full
+
+
+class Program:
+    """A recorded graph lowered to flat, slot-indexed instruction lists.
+
+    Lowering walks ``topological_order(root)`` once.  A forward instruction
+    is ``(op, node, x, y)``: the parents (``y`` is the gather plan for
+    ``GETITEM``), or the node's recompute closure as ``x`` for ``CLOSURE``.
+    A backward instruction is ``(op, slot, x, y, slot_x, slot_y, shape_x,
+    shape_y)``: a parent's slot is ``-1`` when it needs no gradient, so its
+    contribution is never computed, and ``shape_*`` is the shape a broadcast
+    edge's contribution is summed back to (``None`` when no sum is needed).
+    ``CLOSURE`` instructions carry the backward closure and per-parent tuples
+    of slots and shapes instead.
+
+    The graph's wiring and shapes must stay fixed while a program is used;
+    values may change freely (value-dependent masks are re-derived on every
+    pass).
+    """
+
+    __slots__ = ("nodes", "_forward_code", "_backward_code")
+
+    def __init__(self, root: "Tensor") -> None:
+        nodes = topological_order(root)
+        slot_of = {id(node): slot for slot, node in enumerate(nodes)}
+        forward_code: list[tuple] = []
+        backward_code: list[tuple] = []
+        for slot, node in enumerate(nodes):
+            parents = node._parents
+            if not parents:
+                backward_code.append((_LEAF, slot, node, None, -1, -1, None, None))
+                continue
+            slots = [slot_of[id(parent)] if parent.requires_grad else -1
+                     for parent in parents]
+            op = node._op
+            if op == CLOSURE:
+                forward_code.append((CLOSURE, node, node._recompute, None))
+                backward_code.append((CLOSURE, slot, node._backward, None, tuple(slots),
+                                      -1, tuple(p.data.shape for p in parents), None))
+                continue
+            x = parents[0]
+            if len(parents) == 2:
+                # Binary ops: each contribution has the node's (broadcast) shape.
+                y = parents[1]
+                shape = node.data.shape
+                shape_x = x.data.shape if x.data.shape != shape else None
+                shape_y = y.data.shape if y.data.shape != shape else None
+                backward_code.append((op, slot, x, y, slots[0], slots[1], shape_x, shape_y))
+            else:
+                y = node._arg
+                backward_code.append((op, slot, x, y, slots[0], -1, None, None))
+            forward_code.append((op, node, x, y))
+        backward_code.reverse()
+        self.nodes = nodes
+        self._forward_code = forward_code
+        self._backward_code = backward_code
+
+    def forward(self) -> None:
+        """Recompute every non-leaf node from its parents' current ``.data``."""
+        for op, node, x, y in self._forward_code:
+            if op == MUL:
+                node.data = x.data * y.data
+            elif op == ADD:
+                node.data = x.data + y.data
+            elif op == SUB:
+                node.data = x.data - y.data
+            elif op == DIV:
+                node.data = x.data / y.data
+            elif op == RELU:
+                node.data = np.maximum(x.data, 0.0)
+            elif op == GETITEM:
+                index, target, _ = y
+                if target.__class__ is tuple:
+                    node.data = x.data[index]
                 else:
-                    grads[key] = contribution
-        if not node._parents:
-            # Leaf tensor: expose the accumulated gradient via ``.grad``.
-            node._accumulate(node_grad)
+                    node.data = x.data.reshape(-1)[target]
+            else:
+                node.data = x()
+
+    def backward(self, grad: np.ndarray) -> None:
+        """Reverse accumulation from the root; leaves get ``.grad``."""
+        grads: list = [None] * len(self.nodes)
+        grads[-1] = grad
+        for op, slot, x, y, slot_x, slot_y, shape_x, shape_y in self._backward_code:
+            g = grads[slot]
+            if g is None:
+                continue
+            grads[slot] = None
+            if op == MUL:
+                cx = g * y.data if slot_x >= 0 else None
+                cy = g * x.data if slot_y >= 0 else None
+            elif op == ADD:
+                cx = cy = g
+            elif op == SUB:
+                cx = g
+                cy = -g if slot_y >= 0 else None
+            elif op == DIV:
+                cx = g / y.data if slot_x >= 0 else None
+                cy = -g * x.data / (y.data**2) if slot_y >= 0 else None
+            elif op == RELU:
+                cx, cy = g * (x.data > 0), None
+            elif op == GETITEM:
+                cx, cy = _scatter(g, x.data.shape, y), None
+            elif op == CLOSURE:
+                for (_, contribution), parent_slot, shape in zip(x(g), slot_x, shape_x):
+                    if parent_slot < 0 or contribution is None:
+                        continue
+                    contribution = _unbroadcast(
+                        np.asarray(contribution, dtype=np.float64), shape)
+                    previous = grads[parent_slot]
+                    grads[parent_slot] = (contribution if previous is None
+                                          else previous + contribution)
+                continue
+            else:
+                x._accumulate(g)
+                continue
+            if slot_x >= 0:
+                if shape_x is not None:
+                    cx = _unbroadcast(cx, shape_x)
+                previous = grads[slot_x]
+                grads[slot_x] = cx if previous is None else previous + cx
+            if slot_y >= 0:
+                if shape_y is not None:
+                    cy = _unbroadcast(cy, shape_y)
+                previous = grads[slot_y]
+                grads[slot_y] = cy if previous is None else previous + cy
 
 
 class Tensor:
     """A NumPy-backed tensor participating in a dynamic autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "_recompute", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_op", "_arg",
+                 "_backward", "_recompute", "name")
 
     # Make numpy defer to Tensor for mixed operations such as ``2.0 * tensor``.
     __array_priority__ = 200
@@ -136,6 +281,8 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._parents: tuple[Tensor, ...] = ()
+        self._op = CLOSURE
+        self._arg = None
         self._backward: Callable[[np.ndarray], None] | None = None
         self._recompute: Callable[[], np.ndarray] | None = None
         self.name = name
@@ -207,7 +354,7 @@ class Tensor:
         backward: Callable[[np.ndarray], None] | None,
         forward: Callable[[], np.ndarray] | None = None,
     ) -> "Tensor":
-        """Create an op result wired into the graph when grad is enabled.
+        """Create a closure op's result, wired into the graph when grad is enabled.
 
         ``backward`` propagates an incoming gradient to the parents;
         ``forward`` recomputes this node's value from the parents' current
@@ -221,6 +368,17 @@ class Tensor:
             child._parents = parents
             child._backward = backward
             child._recompute = forward
+        return child
+
+    def _make_op(self, op: int, data: np.ndarray, parents: tuple["Tensor", ...],
+                 arg=None) -> "Tensor":
+        """Create the result of an op :class:`Program` runs inline by opcode."""
+        child = Tensor(data)
+        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+            child.requires_grad = True
+            child._parents = parents
+            child._op = op
+            child._arg = arg
         return child
 
     def _set_backward(self, backward: Callable[[np.ndarray], None]) -> "Tensor":
@@ -259,35 +417,21 @@ class Tensor:
                 raise RuntimeError("backward() without an explicit gradient requires a scalar")
             grad = np.ones_like(self.data)
         grad = np.broadcast_to(np.asarray(grad, dtype=np.float64), self.data.shape).copy()
-        backpropagate(self, topological_order(self), grad)
+        Program(self).backward(grad)
 
     # ------------------------------------------------------------------ #
     # Elementwise arithmetic
     # ------------------------------------------------------------------ #
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = Tensor.as_tensor(other)
-
-        def forward():
-            return self.data + other.data
-
-        def backward(grad: np.ndarray):
-            return ((self, grad), (other, grad))
-
-        return self._make_child(forward(), (self, other), backward, forward)
+        return self._make_op(ADD, self.data + other.data, (self, other))
 
     def __radd__(self, other: ArrayLike) -> "Tensor":
         return Tensor.as_tensor(other) + self
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other = Tensor.as_tensor(other)
-
-        def forward():
-            return self.data - other.data
-
-        def backward(grad: np.ndarray):
-            return ((self, grad), (other, -grad))
-
-        return self._make_child(forward(), (self, other), backward, forward)
+        return self._make_op(SUB, self.data - other.data, (self, other))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return Tensor.as_tensor(other) - self
@@ -303,31 +447,14 @@ class Tensor:
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = Tensor.as_tensor(other)
-
-        def forward():
-            return self.data * other.data
-
-        def backward(grad: np.ndarray):
-            return ((self, grad * other.data), (other, grad * self.data))
-
-        return self._make_child(forward(), (self, other), backward, forward)
+        return self._make_op(MUL, self.data * other.data, (self, other))
 
     def __rmul__(self, other: ArrayLike) -> "Tensor":
         return Tensor.as_tensor(other) * self
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = Tensor.as_tensor(other)
-
-        def forward():
-            return self.data / other.data
-
-        def backward(grad: np.ndarray):
-            return (
-                (self, grad / other.data),
-                (other, -grad * self.data / (other.data**2)),
-            )
-
-        return self._make_child(forward(), (self, other), backward, forward)
+        return self._make_op(DIV, self.data / other.data, (self, other))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return Tensor.as_tensor(other) / self
@@ -418,17 +545,11 @@ class Tensor:
         return self.transpose()
 
     def __getitem__(self, index) -> "Tensor":
-        shape = self.data.shape
-
-        def forward():
-            return self.data[index]
-
-        def backward(grad: np.ndarray):
-            full = np.zeros(shape, dtype=np.float64)
-            np.add.at(full, index, grad)
-            return ((self, full),)
-
-        return self._make_child(forward(), (self,), backward, forward)
+        data = self.data[index]
+        if not (_GRAD_ENABLED and self.requires_grad):
+            return Tensor(data)
+        return self._make_op(GETITEM, data, (self,),
+                             _getitem_plan(index, self.data.shape))
 
     # ------------------------------------------------------------------ #
     # Reductions and elementwise functions (method forms)

@@ -8,8 +8,16 @@ ones.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles.autodiff import (
+    oracle_tape_backward,
+    oracle_tape_forward,
+    oracle_tensor_backward,
+)
 
+import repro
 from repro.autodiff import Adam, Tape, TapeError, Tensor, ops
+from repro.utils.serialization import canonical_outcome_json
 
 
 def _make_params():
@@ -185,3 +193,169 @@ class TestFusedAdam:
         x.sum().backward()
         x.grad += 1.0  # broadcast-view contributions must be materialized
         assert np.array_equal(x.grad, np.full(4, 2.0))
+
+
+# --------------------------------------------------------------------------- #
+# Parity with the closure-based oracle engine
+# --------------------------------------------------------------------------- #
+STARTS, COLUMNS = 3, 4
+GRAPH_OPS = ("add", "sub", "mul", "div", "relu", "maximum", "square", "self_sub",
+             "rows_repeated", "columns_repeated", "columns_reversed", "first_column",
+             "tanh", "constant")
+
+
+def _bytes(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
+def _random_graph(choices, leaves, constants):
+    """A loss over ``leaves`` from a drawn op mix (the sum of the last result)."""
+    pool = list(leaves)
+    for op, i, j in choices:
+        a, b = pool[i % len(pool)], pool[j % len(pool)]
+        constant = constants[j % len(constants)]
+        if op == "add":
+            out = a + b
+        elif op == "sub":
+            out = a - b
+        elif op == "mul":
+            out = a * b
+        elif op == "div":
+            out = a / (b * b + 1.0)
+        elif op == "relu":
+            out = ops.relu(a - constant)
+        elif op == "maximum":
+            out = ops.maximum(a, b)
+        elif op == "square":
+            out = a * a
+        elif op == "self_sub":
+            out = a - a
+        elif op == "rows_repeated":
+            out = a[[0, 0, 2]]
+        elif op == "columns_repeated":
+            out = a[:, np.zeros(a.shape[1], dtype=int)]
+        elif op == "columns_reversed":
+            out = a[:, np.arange(a.shape[1])[::-1]]
+        elif op == "first_column":
+            out = a[:, :1]
+        elif op == "tanh":
+            out = ops.tanh(a)
+        else:
+            out = 2.0 * a * constant + constants[i % len(constants)]
+        pool.append(out)
+    return pool[-1].sum()
+
+
+class TestOracleParity:
+    @settings(max_examples=100, deadline=None)
+    @given(choices=st.lists(st.tuples(st.sampled_from(GRAPH_OPS),
+                                      st.integers(0, 63), st.integers(0, 63)),
+                            min_size=1, max_size=14),
+           seed=st.integers(0, 2**16),
+           invalidate_at=st.integers(0, 6))
+    def test_engine_matches_oracle_bitwise(self, choices, seed, invalidate_at):
+        """Tape replay and Tensor.backward equal the oracle over Adam steps.
+
+        The op mix covers ``(S, 1) x (S, L)`` broadcasting, constant
+        operands, ``x * x`` and ``x - x``, gathers with repeated indices, and
+        relu/maximum masks that flip as Adam moves the leaves.
+        """
+        rng = np.random.default_rng(seed)
+        p0 = rng.uniform(-1.5, 1.5, size=(STARTS, COLUMNS))
+        q0 = rng.uniform(-1.5, 1.5, size=(STARTS, 1))
+        constants = [Tensor(rng.uniform(-1.0, 1.0, size=(STARTS, COLUMNS))),
+                     Tensor(rng.uniform(-1.0, 1.0, size=(STARTS, 1))),
+                     Tensor(0.5)]
+        sides = [(Tensor(p0.copy(), requires_grad=True),
+                  Tensor(q0.copy(), requires_grad=True)) for _ in range(3)]
+        taped, retraced, oracle = sides
+        tape = Tape(lambda: _random_graph(choices, taped, constants))
+        optimizers = [Adam(leaves, lr=0.25, fused=True) for leaves in sides]
+        with np.errstate(all="ignore"):
+            for step in range(6):
+                if step == invalidate_at:
+                    tape.invalidate()
+                for optimizer in optimizers:
+                    optimizer.zero_grad()
+                loss = tape.forward()
+                tape.backward()
+                retraced_loss = _random_graph(choices, retraced, constants)
+                retraced_loss.backward()
+                oracle_loss = _random_graph(choices, oracle, constants)
+                oracle_tensor_backward(oracle_loss)
+                assert _bytes(loss.data) == _bytes(oracle_loss.data)
+                assert _bytes(retraced_loss.data) == _bytes(oracle_loss.data)
+                for leaves in (taped, retraced):
+                    for leaf, reference in zip(leaves, oracle):
+                        assert (leaf.grad is None) == (reference.grad is None)
+                        if leaf.grad is not None:
+                            assert _bytes(leaf.grad) == _bytes(reference.grad), step
+                for optimizer in optimizers:
+                    optimizer.step()
+
+    def test_repeated_index_gather_accumulates(self):
+        weights = np.array([1.0, 10.0, 100.0])
+        x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        (x[[0, 0, 2]] * weights).sum().backward()
+        assert np.array_equal(x.grad, [11.0, 0.0, 100.0])
+        y = Tensor(x.data.copy(), requires_grad=True)
+        oracle_tensor_backward((y[[0, 0, 2]] * weights).sum())
+        assert _bytes(x.grad) == _bytes(y.grad)
+
+    @pytest.mark.parametrize("index", [np.array([2, 0]), slice(1, None)])
+    def test_gather_scatters_negative_zero_as_add_at(self, index):
+        """A ``-0.0`` gradient lands as ``+0.0``, exactly as ``np.add.at`` does."""
+        weights = np.array([-0.0, 1.0])
+        x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        (x[index] * weights).sum().backward()
+        y = Tensor(x.data.copy(), requires_grad=True)
+        oracle_tensor_backward((y[index] * weights).sum())
+        assert _bytes(x.grad) == _bytes(y.grad)
+        assert not np.signbit(x.grad).any()
+
+    @pytest.mark.parametrize("repeated", [False, True])
+    def test_gathers_from_one_source_add_up_as_in_the_oracle(self, repeated):
+        """Basic and advanced gathers of one tensor, with ``-0.0`` gradients."""
+        def loss(x):
+            parts = [x[:, 0] * np.array([-0.0, 2.0]),
+                     x[:, [2, 1]] * np.array([[1.0, -0.0], [-3.0, 0.5]]),
+                     x[1] * -0.0,
+                     x[:, 1:]]
+            if repeated:
+                parts.append(x[[0, 0]] * 1.2e-16)  # rounds differently per order
+            return ops.total_sum([part.sum() for part in parts])
+
+        values = np.array([[1.0, -2.0, 3.0], [0.5, 4.0, -1.0]])
+        x = Tensor(values.copy(), requires_grad=True)
+        loss(x).backward()
+        y = Tensor(values.copy(), requires_grad=True)
+        oracle_tensor_backward(loss(y))
+        assert _bytes(x.grad) == _bytes(y.grad)
+
+    def test_log_sum_exp_replay_recomputes_its_shift(self):
+        p = Tensor(np.array([0.0, 1.0]), requires_grad=True)
+        tape = Tape(lambda: ops.log_sum_exp(p))
+        tape.forward()
+        p.data = np.array([800.0, 801.0])
+        replayed = tape.forward()
+        tape.backward()
+        q = Tensor(p.data.copy(), requires_grad=True)
+        retraced = ops.log_sum_exp(q)
+        retraced.backward()
+        assert np.isfinite(replayed.data).all()
+        assert _bytes(replayed.data) == _bytes(retraced.data)
+        assert _bytes(p.grad) == _bytes(q.grad)
+
+    def test_seeded_search_matches_oracle_engine(self, monkeypatch):
+        """A seeded DOSA search is byte-identical with the oracle engine patched in."""
+        def search() -> str:
+            budget = 2300  # past the first rounding point, so the tape re-traces
+            with np.errstate(over="ignore"):
+                return canonical_outcome_json(
+                    repro.optimize("bert", strategy="dosa", budget=budget, seed=3))
+
+        fast = search()
+        monkeypatch.setattr(Tensor, "backward", oracle_tensor_backward)
+        monkeypatch.setattr(Tape, "forward", oracle_tape_forward)
+        monkeypatch.setattr(Tape, "backward", oracle_tape_backward)
+        assert fast == search()
