@@ -23,7 +23,6 @@ import numpy as np
 from repro.arch.components import (
     BYPASS_MATRIX,
     LEVEL_ACCUMULATOR,
-    LEVEL_DRAM,
     LEVEL_REGISTERS,
     LEVEL_SCRATCHPAD,
     MEMORY_LEVEL_INDICES,
@@ -36,54 +35,52 @@ from repro.arch.config import (
     minimal_hardware_for_requirements,
 )
 from repro.mapping.mapping import DIM_INDEX, Mapping, SPATIAL_DIMS
-from repro.workloads.layer import DIMENSIONS, TENSOR_DIMS
+from repro.workloads.layer import DIMENSIONS, TENSORS, LayerDims
 
 
-def inner_extent(mapping: Mapping, level: int, dim: str) -> float:
-    """Extent of dimension ``dim`` inside the level-``i`` tile.
+def _inner_extents(mapping: Mapping) -> list[list[float]]:
+    """Row ``i`` holds ``Inner(i, d)`` of the paper for every dimension ``d``.
 
-    This is ``Inner(i, d)`` of the paper: the product of temporal factors at
-    levels inner to ``level`` and of every spatial factor of the dimension.
+    That is the product of every spatial factor of ``d`` and of its temporal
+    factors at levels inner to ``i``, multiplied in that order.
     """
-    j = DIM_INDEX[dim]
-    extent = float(mapping.spatial[:, j].prod())
-    for inner_level in range(level):
-        extent *= float(mapping.temporal[inner_level, j])
-    return extent
+    rows = [mapping.spatial.prod(axis=0)]
+    for temporal in mapping.temporal[:-1]:
+        rows.append(rows[-1] * temporal)
+    return [row.tolist() for row in rows]
+
+
+def _tile_words(layer: LayerDims, extent: list[float], tensor: str) -> float:
+    """Words of ``tensor`` in a tile whose per-dimension extents are ``extent``."""
+    r, s, p, q, c, k, n = extent
+    if tensor == "W":
+        return r * s * c * k
+    if tensor == "O":
+        return p * q * k * n
+    if tensor == "I":
+        height = layer.stride_p * (p - 1.0) + r
+        width = layer.stride_q * (q - 1.0) + s
+        return c * n * height * width
+    raise KeyError(f"unknown tensor {tensor!r}")
 
 
 def tensor_tile_words(mapping: Mapping, level: int, tensor: str) -> float:
     """Words of tensor ``tensor`` that level ``level`` must hold (Eq. 2-4)."""
-    layer = mapping.layer
-    if tensor == "W":
-        words = 1.0
-        for dim in ("R", "S", "C", "K"):
-            words *= inner_extent(mapping, level, dim)
-        return words
-    if tensor == "O":
-        words = 1.0
-        for dim in ("P", "Q", "K", "N"):
-            words *= inner_extent(mapping, level, dim)
-        return words
-    if tensor == "I":
-        words = inner_extent(mapping, level, "C") * inner_extent(mapping, level, "N")
-        height = layer.stride_p * (inner_extent(mapping, level, "P") - 1.0) + inner_extent(
-            mapping, level, "R"
-        )
-        width = layer.stride_q * (inner_extent(mapping, level, "Q") - 1.0) + inner_extent(
-            mapping, level, "S"
-        )
-        return words * height * width
-    raise KeyError(f"unknown tensor {tensor!r}")
+    return _tile_words(mapping.layer, _inner_extents(mapping)[level], tensor)
 
 
 def capacity_requirements(mapping: Mapping) -> dict[int, float]:
-    """Total words each memory level must hold for ``mapping`` (Eq. 5)."""
+    """Total words each memory level must hold for ``mapping`` (Eq. 5).
+
+    Tensors sum in ``TENSORS`` order, not in the bypass sets' hash order.
+    """
+    extents = _inner_extents(mapping)
     requirements: dict[int, float] = {}
     for level in MEMORY_LEVEL_INDICES:
         total = 0.0
-        for tensor in BYPASS_MATRIX[level]:
-            total += tensor_tile_words(mapping, level, tensor)
+        for tensor in TENSORS:
+            if tensor in BYPASS_MATRIX[level]:
+                total += _tile_words(mapping.layer, extents[level], tensor)
         requirements[level] = total
     return requirements
 
@@ -157,11 +154,12 @@ def mapping_fits_hardware(
     """True when ``mapping`` fits within ``config``'s PE array and SRAMs."""
     if spatial_requirement(mapping) > config.pe_dim + tolerance:
         return False
-    requirements = capacity_requirements(mapping)
-    if requirements[LEVEL_REGISTERS] > config.register_words + tolerance:
+    layer = mapping.layer
+    extents = _inner_extents(mapping)
+    if _tile_words(layer, extents[LEVEL_REGISTERS], "W") > config.register_words + tolerance:
         return False
-    if requirements[LEVEL_ACCUMULATOR] > config.accumulator_words + tolerance:
+    if _tile_words(layer, extents[LEVEL_ACCUMULATOR], "O") > config.accumulator_words + tolerance:
         return False
-    if requirements[LEVEL_SCRATCHPAD] > config.scratchpad_words + tolerance:
-        return False
-    return True
+    scratchpad = extents[LEVEL_SCRATCHPAD]
+    words = _tile_words(layer, scratchpad, "W") + _tile_words(layer, scratchpad, "I")
+    return not words > config.scratchpad_words + tolerance

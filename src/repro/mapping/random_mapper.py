@@ -12,14 +12,19 @@ Random mappings serve three roles in the reproduction, mirroring the paper:
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 from repro.arch.config import HardwareConfig
 from repro.mapping.constraints import mapping_fits_hardware
 from repro.mapping.mapping import (
+    DEFAULT_ORDERINGS,
     DIM_INDEX,
     LoopOrdering,
     Mapping,
+    NUM_DIMS,
     NUM_LEVELS,
     SPATIAL_DIMS,
 )
@@ -27,20 +32,25 @@ from repro.utils.math_utils import prime_factorization
 from repro.utils.rng import SeedLike, make_rng
 from repro.workloads.layer import DIMENSIONS, LayerDims
 
+_ORDERINGS = tuple(LoopOrdering)
+_SPATIAL_LEVEL = {DIM_INDEX[dim]: level for level, dim in SPATIAL_DIMS}
 
-def _random_split(
-    value: int, num_positions: int, rng: np.random.Generator
-) -> list[int]:
-    """Split ``value`` into ``num_positions`` integer factors whose product is ``value``.
 
-    Each prime factor of ``value`` is assigned to a uniformly random position,
-    which makes every divisor-split reachable.
+@lru_cache(maxsize=4096)
+def _draw_plan(layer: LayerDims, randomize_orderings: bool) -> tuple[np.ndarray, tuple]:
+    """The bound of every draw one attempt makes, and each prime draw's ``(dim, prime)``.
+
+    Each prime factor of each dimension (ascending, dimensions in canonical
+    order) draws its position, a temporal level or the spatial slot
+    ``NUM_LEVELS`` of C and K; then each level draws its loop ordering.
     """
-    factors = [1] * num_positions
-    for prime in prime_factorization(value):
-        position = int(rng.integers(num_positions))
-        factors[position] *= prime
-    return factors
+    slots = tuple((DIM_INDEX[dim], prime) for dim in DIMENSIONS
+                  for prime in prime_factorization(layer.dim(dim)))
+    highs = [NUM_LEVELS + (j in _SPATIAL_LEVEL) for j, _ in slots]
+    highs = np.array(highs + [len(_ORDERINGS)] * (NUM_LEVELS * randomize_orderings),
+                     dtype=np.int64)
+    highs.setflags(write=False)  # shared by every caller through the cache
+    return highs, slots
 
 
 def random_mapping(
@@ -51,41 +61,33 @@ def random_mapping(
 ) -> Mapping:
     """Sample a structurally valid random mapping for ``layer``.
 
-    Spatial factors (C at the accumulator level, K at the scratchpad level)
-    are capped at ``max_spatial``; excess prime factors spill into the same
-    level's temporal factor so the per-dimension product stays exact.
+    Every prime factor lands at a uniformly random position, all drawn by one
+    ``rng.integers`` call, so every divisor split is reachable.  Spatial
+    factors (C at the accumulator, K at the scratchpad) are capped at
+    ``max_spatial``; their smallest primes spill into the same level's
+    temporal factor so the per-dimension product stays exact.
     """
-    rng = make_rng(seed)
-    mapping = Mapping(layer=layer)
-    spatial_levels = {dim: level for level, dim in SPATIAL_DIMS}
-
-    for dim in DIMENSIONS:
-        j = DIM_INDEX[dim]
-        # Positions: temporal at each level, plus one spatial slot if allowed.
-        has_spatial = dim in spatial_levels
-        num_positions = NUM_LEVELS + (1 if has_spatial else 0)
-        split = _random_split(layer.dim(dim), num_positions, rng)
-        for level in range(NUM_LEVELS):
-            mapping.temporal[level, j] = float(split[level])
-        if has_spatial:
-            spatial_value = split[NUM_LEVELS]
-            level = spatial_levels[dim]
-            # Respect the PE-array cap by demoting excess factors to temporal.
-            while spatial_value > max_spatial:
-                for prime in prime_factorization(spatial_value):
-                    if spatial_value // prime <= max_spatial or prime > 1:
-                        spatial_value //= prime
-                        mapping.temporal[level, j] *= prime
-                        break
-            mapping.spatial[level, j] = float(spatial_value)
-
-    if randomize_orderings:
-        orderings = tuple(
-            LoopOrdering(rng.choice([o.value for o in LoopOrdering]))
-            for _ in range(NUM_LEVELS)
-        )
-        mapping = mapping.with_orderings(orderings)
-    return mapping
+    if max_spatial < 1:
+        raise ValueError(f"max_spatial must be >= 1, got {max_spatial}")
+    highs, slots = _draw_plan(layer, randomize_orderings)
+    draws = make_rng(seed).integers(0, highs).tolist()
+    temporal = [[1] * NUM_DIMS for _ in range(NUM_LEVELS)]
+    spatial_primes: dict[int, list[int]] = {j: [] for j in _SPATIAL_LEVEL}
+    for (j, prime), position in zip(slots, draws):
+        if position < NUM_LEVELS:
+            temporal[position][j] *= prime
+        else:
+            spatial_primes[j].append(prime)
+    spatial = np.ones((NUM_LEVELS, NUM_DIMS))
+    for j, primes in spatial_primes.items():
+        level = _SPATIAL_LEVEL[j]
+        while math.prod(primes) > max_spatial:
+            temporal[level][j] *= primes.pop(0)
+        spatial[level, j] = math.prod(primes)
+    # The draws after the prime slots are the orderings, if any were drawn.
+    orderings = tuple(_ORDERINGS[draw] for draw in draws[len(slots):])
+    return Mapping(layer=layer, temporal=np.array(temporal, dtype=np.float64),
+                   spatial=spatial, orderings=orderings or DEFAULT_ORDERINGS)
 
 
 def random_mapping_for_hardware(
